@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Streaming benchmark: batched execution + incremental emission vs the
+"""Streaming benchmark: pipelined execution + incremental emission vs the
 materialized front door, plus ``transform_many`` plan amortization.
 
 Usage::
@@ -12,9 +12,9 @@ Usage::
 For each xsltmark case the harness measures:
 
 * **stream** — ``Engine.transform_stream`` drained to exhaustion: the
-  plan runs vectorized (``iter_batches``) and its result column goes
-  through the incremental SQL/XML emitter, so no result DOM is built;
-* **materialized** — ``Engine.transform``, the row-at-a-time seed path;
+  plan's result column goes through the incremental SQL/XML emitter,
+  so no result DOM is built;
+* **materialized** — ``Engine.transform``, the DOM-building path;
 * **functional** — ``rewrite=False``, the calibration clock
   ``benchmarks/check_regression.py`` uses.
 
@@ -29,9 +29,9 @@ count of independent ``xml_transform`` calls — the compiled plan is
 amortized across the batch, which must come out >= 2x faster.
 
 The ``--out`` artifact (default ``BENCH_stream.json``) carries a
-``seconds`` block per entry (``rewrite`` = streaming / batched times,
-``no-rewrite`` = the calibration clock) shaped for
-``check_regression.py`` gating against ``benchmarks/baseline.json``.
+``seconds`` block per entry (``rewrite`` = streaming or
+``transform_many`` times, ``no-rewrite`` = the calibration clock) shaped
+for ``check_regression.py`` gating against ``benchmarks/baseline.json``.
 ``--smoke`` shrinks everything for CI.
 """
 
@@ -120,7 +120,6 @@ def run_stream_case(name, size, args, cases_out):
             "output_chars": len(text),
             "throughput_chars_per_s": (len(text) / best) if best else None,
             "peak_buffered_bytes": stats.peak_buffered_bytes,
-            "batches": stats.batches,
             "output_rows": stats.output_rows,
             "docs_materialized": stats.docs_materialized,
             "materialized_seconds": summarize(materialized_samples),
@@ -209,7 +208,7 @@ def main(argv=None):
     failures = []
     print("Streaming benchmark: repeat=%d" % args.repeat)
     print("%-20s %-10s %-12s %-10s %-8s %-8s"
-          % ("case", "stream-ms", "chars/s", "peak-buf", "batches",
+          % ("case", "stream-ms", "chars/s", "peak-buf", "rows",
              "checks"))
     for name in names:
         for size in sizes:
@@ -224,7 +223,7 @@ def main(argv=None):
                 (entry["seconds"]["rewrite"]["min"] or 0.0) * 1000.0,
                 stream["throughput_chars_per_s"] or 0.0,
                 stream["peak_buffered_bytes"],
-                stream["batches"],
+                stream["output_rows"],
                 "ok" if ok else "FAIL",
             ))
 

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Streaming: batched execution with incremental XML emission.
+"""Streaming: pipelined execution with incremental XML emission.
 
 Runs the quickstart transform (Tables 1–3, Table-5 stylesheet) through
 ``Engine.transform_stream`` and shows the streaming story end to end:
 
-* the rewritten plan executes *vectorized* — operators exchange row
-  batches instead of single rows — and the result column is serialized
-  by the incremental SQL/XML emitter, so chunks of output text flow out
-  while the plan is still running and no result document is ever built
+* the rewritten plan runs as an ordinary pull pipeline and the result
+  column is serialized row by row by the incremental SQL/XML emitter,
+  so chunks of output text flow out while the plan is still running
+  and no result document is ever built
   (``docs_materialized`` stays 0, ``peak_buffered_bytes`` stays tiny);
 * chunk concatenation is byte-identical to the materialized transform;
 * ``Engine.transform_many`` amortizes one compiled plan over a batch of
@@ -28,7 +28,7 @@ def main():
 
     # -- stream: chunks flow while the plan runs ---------------------------
     print("=" * 72)
-    print("Streaming transform (batched plan -> incremental emitter)")
+    print("Streaming transform (pipelined plan -> incremental emitter)")
     print("=" * 72)
     stream = engine.transform_stream(
         view_query, STYLESHEET,
@@ -40,7 +40,6 @@ def main():
         print("chunk %d: %d chars" % (index, len(chunk)))
     print("strategy            :", stream.strategy)
     print("output rows         :", stream.stats.output_rows)
-    print("batches             :", stream.stats.batches)
     print("docs materialized   :", stream.stats.docs_materialized)
     print("peak buffered bytes :", stream.stats.peak_buffered_bytes)
 

@@ -11,7 +11,7 @@ keyword arguments.  This module is the consolidation:
   :meth:`Engine.transform_many` and :meth:`Engine.explain`;
 * :class:`TransformOptions` — the one options dataclass every entry
   point accepts (``rewrite``, ``inline``, ``explain``, ``deadline``,
-  ``batch_size``, ...), replacing the loose kwargs, which keep working
+  ``chunk_chars``, ...), replacing the loose kwargs, which keep working
   through a deprecation shim (:func:`warn_legacy`, one
   :class:`DeprecationWarning` per call site).
 
@@ -161,10 +161,6 @@ class TransformOptions:
     :param deadline: per-request deadline in seconds
         (:class:`repro.serve.TransformService` only — enforced at
         dequeue time).
-    :param batch_size: rows per batch on the vectorized executor path.
-        None is automatic: row-at-a-time pull for materialized
-        execution (``transform``), ``DEFAULT_BATCH_SIZE`` batches for
-        ``transform_stream``.
     :param chunk_chars: coalescing target for streamed output chunks.
     :param profile_plan: collect per-plan-node EXPLAIN ANALYZE counters
         on the rewrite path (skipped whenever tracing is disabled).
@@ -200,7 +196,6 @@ class TransformOptions:
     inline: bool = None
     explain: bool = False
     deadline: float = None
-    batch_size: int = None
     chunk_chars: int = DEFAULT_CHUNK_CHARS
     profile_plan: bool = True
     rewrite_options: RewriteOptions = None
@@ -268,7 +263,7 @@ class TransformOptions:
     def cache_key(self):
         """The compile-relevant part of these options, as a stable string
         — the serving layer's plan-cache key component.  Runtime-only
-        fields (deadline, batch/chunk sizes, profiling) are excluded so
+        fields (deadline, chunk size, profiling) are excluded so
         they never fragment the cache."""
         from repro.rdb.planner import normalize_level
 
@@ -363,8 +358,7 @@ class Engine:
                 result = execute_compiled(
                     self.db, source, compiled, params=params, tracer=tracer,
                     metrics=metrics, profile_plan=opts.profile_plan,
-                    root=root, batch_size=opts.batch_size,
-                    feedback=opts.feedback,
+                    root=root, feedback=opts.feedback,
                 )
             else:
                 if not isinstance(stylesheet, Stylesheet):
@@ -409,7 +403,7 @@ class Engine:
         return execute_compiled(
             self.db, source, compiled, params=params, tracer=self.tracer,
             metrics=self.metrics, profile_plan=opts.profile_plan,
-            batch_size=opts.batch_size, feedback=opts.feedback,
+            feedback=opts.feedback,
         )
 
     # -- serve --------------------------------------------------------------------
@@ -463,8 +457,7 @@ class Engine:
         return execute_compiled_stream(
             self.db, source, compiled, params=params, tracer=self.tracer,
             metrics=self.metrics, profile_plan=opts.profile_plan,
-            batch_size=opts.batch_size, chunk_chars=opts.chunk_chars,
-            feedback=opts.feedback,
+            chunk_chars=opts.chunk_chars, feedback=opts.feedback,
         )
 
     def transform_many(self, sources, stylesheet, options=None, params=None):
@@ -482,7 +475,7 @@ class Engine:
         an :class:`~repro.obs.explain.ExplainReport` — strategy, rewrite
         decisions, optimized plan with estimates, plus ``.to_json()``
         for the structured form.  ``analyze=True`` executes and
-        annotates every plan node with actual rows/batches/timings
+        annotates every plan node with actual rows/timings
         (EXPLAIN ANALYZE) and includes the Q-error feedback.  The
         report renders as the historical text via ``str()``."""
         from repro.obs.explain import ExplainReport
@@ -493,7 +486,6 @@ class Engine:
             result = execute_compiled(
                 self.db, source, compiled, tracer=self.tracer,
                 metrics=self.metrics, profile_plan=True,
-                batch_size=opts.batch_size,
             )
             return result.explain_report()
         fallback_reason = None

@@ -36,7 +36,6 @@ from repro.obs import NULL_SPAN, get_tracer, global_metrics, render_tree
 from repro.obs.decisions import DecisionLedger
 from repro.rdb.database import View
 from repro.rdb.plan import (
-    DEFAULT_BATCH_SIZE,
     ExecutionStats,
     PlanProfiler,
     Query,
@@ -358,7 +357,7 @@ def _compile_impl(db, source, stylesheet, options=None, tracer=None,
 
 def execute_compiled(db, source, compiled, params=None, tracer=None,
                      metrics=None, profile_plan=True, root=None,
-                     batch_size=None, feedback=True):
+                     feedback=True):
     """Execute one request over a :class:`CompiledTransform`.
 
     The SQL strategy runs the cached optimized plan; an execute-phase
@@ -367,8 +366,6 @@ def execute_compiled(db, source, compiled, params=None, tracer=None,
     fallback artifact replays its recorded error (counter + warning +
     result annotations) and evaluates functionally.  ``root`` is the span
     fallback attributes land on (defaults to the tracer's current span).
-    ``batch_size`` switches plan execution to the vectorized
-    ``iter_batches`` path (None keeps the row-at-a-time pull loop).
     ``feedback=False`` skips the post-execution Q-error observation.
     """
     tracer = tracer or get_tracer()
@@ -378,8 +375,7 @@ def execute_compiled(db, source, compiled, params=None, tracer=None,
     if compiled.is_rewritten and not params:
         try:
             result = _execute_plan(db, compiled, tracer, metrics,
-                                   profile_plan, batch_size=batch_size,
-                                   feedback=feedback)
+                                   profile_plan, feedback=feedback)
             metrics.counter("transform.rewrite_success").inc()
         except RewriteError as exc:
             result = _fallback(db, source, compiled.stylesheet, params, exc,
@@ -498,7 +494,7 @@ def _observe_feedback(db, compiled, profiler, metrics):
 
 
 def _execute_plan(db, compiled, tracer, metrics, profile_plan,
-                  batch_size=None, feedback=True):
+                  feedback=True):
     """Run the cached optimized plan of a SQL-strategy artifact."""
     query = compiled.query
     with tracer.span("plan.execute") as span:
@@ -507,11 +503,7 @@ def _execute_plan(db, compiled, tracer, metrics, profile_plan,
         if profile_plan and tracer.enabled:
             profiler = stats.profiler = PlanProfiler()
         try:
-            if batch_size is None:
-                rows, stats = query.execute(db, stats=stats)
-            else:
-                rows, stats = query.execute(db, stats=stats,
-                                            batch_size=batch_size)
+            rows, stats = query.execute(db, stats=stats)
         except RewriteError as exc:
             # A RewriteError escaping *plan execution* is a run-time
             # failure, not a compile failure — tag it so the fallback
@@ -652,15 +644,13 @@ class TransformStream:
 
 def execute_compiled_stream(db, source, compiled, params=None, tracer=None,
                             metrics=None, profile_plan=True, root=None,
-                            batch_size=None, chunk_chars=None,
-                            feedback=True):
+                            chunk_chars=None, feedback=True):
     """Streaming twin of :func:`execute_compiled`: returns a
     :class:`TransformStream` yielding serialized output chunks.
 
-    On the SQL strategy the optimized plan runs vectorized
-    (``iter_batches``, ``batch_size`` rows per batch) and its result
-    column streams through the incremental SQL/XML emitter — no result
-    DOM is ever built (``stats.docs_materialized`` stays 0) and at most
+    On the SQL strategy the optimized plan's result column streams
+    through the incremental SQL/XML emitter — no result DOM is ever
+    built (``stats.docs_materialized`` stays 0) and at most
     ``chunk_chars`` characters of output are buffered at once, tracked
     in ``stats.peak_buffered_bytes``.  A :class:`RewriteError` raised
     before the first chunk was emitted falls back to the functional
@@ -673,13 +663,12 @@ def execute_compiled_stream(db, source, compiled, params=None, tracer=None,
     metrics = metrics or global_metrics()
     if root is None:
         root = tracer.current() or NULL_SPAN
-    batch_size = batch_size or DEFAULT_BATCH_SIZE
     chunk_chars = chunk_chars or DEFAULT_CHUNK_CHARS
     stream = TransformStream(compiled)
     if compiled.is_rewritten and not params:
         chunks = _stream_sql(db, source, compiled, stream, params, tracer,
-                             metrics, profile_plan, root, batch_size,
-                             chunk_chars, feedback)
+                             metrics, profile_plan, root, chunk_chars,
+                             feedback)
     elif compiled.error is not None:
         chunks = _stream_fallback(db, source, compiled.stylesheet, params,
                                   compiled.error, tracer, metrics, root,
@@ -712,7 +701,7 @@ def _coalesce(pieces, stats, chunk_chars):
 
 
 def _stream_sql(db, source, compiled, stream, params, tracer, metrics,
-                profile_plan, root, batch_size, chunk_chars, feedback=True):
+                profile_plan, root, chunk_chars, feedback=True):
     """Chunk generator for the SQL strategy."""
     stats = ExecutionStats()
     profiler = None
@@ -723,7 +712,7 @@ def _stream_sql(db, source, compiled, stream, params, tracer, metrics,
     stream.executed_query = compiled.query
     stream.plan_profile = profiler
     chunks = _coalesce(
-        compiled.query.stream_pieces(db, stats=stats, batch_size=batch_size),
+        compiled.query.stream_pieces(db, stats=stats),
         stats, chunk_chars,
     )
     emitted = False
@@ -848,7 +837,7 @@ def transform_many(db, sources, stylesheet, options=None, params=None,
                     target_db, source, compiled, params=params,
                     tracer=tracer, metrics=metrics,
                     profile_plan=opts.profile_plan, root=root,
-                    batch_size=opts.batch_size, feedback=opts.feedback,
+                    feedback=opts.feedback,
                 )
             else:
                 result = _functional(target_db, source, stylesheet, params,

@@ -7,10 +7,8 @@ are collected per run — benchmarks and tests assert on them to prove plan
 shape, e.g. that the rewritten Figure-2 query probes the B-tree instead of
 scanning.
 
-Every operator also supports **vectorized** execution through
-``iter_batches(db, env, stats, batch_size)``: row environments flow in
-lists of up to ``batch_size`` instead of one generator hop per row.
-:meth:`Query.execute_batches` drives a whole query that way, and
+Every operator speaks one protocol, the row generator ``rows(db, env,
+stats)``.  :meth:`Query.execute` drains it into tuples, and
 :meth:`Query.stream_pieces` couples it with the incremental SQL/XML
 emitter (:mod:`repro.rdb.sqlxml`) so serialized output leaves the
 executor in chunks without the result document ever being materialized.
@@ -30,9 +28,6 @@ from repro.rdb.sqlxml import (
     stream_value_pieces,
 )
 
-#: Default row count per batch on the vectorized/streaming path.
-DEFAULT_BATCH_SIZE = 256
-
 
 class ExecutionStats:
     """Counters collected during one query execution.
@@ -49,7 +44,7 @@ class ExecutionStats:
     _FIELDS = (
         "rows_scanned", "index_probes", "index_entries", "output_rows",
         "xml_elements", "subquery_executions", "btree_node_visits",
-        "docs_materialized", "batches", "peak_buffered_bytes",
+        "docs_materialized", "peak_buffered_bytes",
         "hash_build_rows", "hash_probes", "topn_heap_rows",
         "struct_range_scans", "struct_join_rows",
         "peak_ingest_buffered_bytes",
@@ -67,8 +62,6 @@ class ExecutionStats:
         self.subquery_executions = 0
         self.btree_node_visits = 0
         self.docs_materialized = 0
-        #: row batches emitted by the top-level plan on the vectorized path
-        self.batches = 0
         #: high-water mark of serialized output buffered at once on the
         #: streaming path (0 when execution materialized the result)
         self.peak_buffered_bytes = 0
@@ -107,13 +100,11 @@ def _fmt_stat(value):
 class NodeProfile:
     """Per-plan-node counters for one profiled execution."""
 
-    __slots__ = ("rows_out", "opens", "batches", "total_seconds")
+    __slots__ = ("rows_out", "opens", "total_seconds")
 
     def __init__(self):
         self.rows_out = 0
         self.opens = 0
-        #: batches emitted when the node ran on the vectorized path
-        self.batches = 0
         self.total_seconds = 0.0
 
 
@@ -160,23 +151,6 @@ class PlanProfiler:
             profile.rows_out += 1
             yield row
 
-    def wrap_batches(self, node, iterator):
-        """Like :meth:`wrap` but over a batch iterator: counts whole
-        batches and the rows inside them."""
-        profile = self.profile_of(node)
-        profile.opens += 1
-        while True:
-            start = time.perf_counter()
-            try:
-                batch = next(iterator)
-            except StopIteration:
-                profile.total_seconds += time.perf_counter() - start
-                return
-            profile.total_seconds += time.perf_counter() - start
-            profile.batches += 1
-            profile.rows_out += len(batch)
-            yield batch
-
     def self_seconds(self, node):
         """Total time minus the direct children's total time."""
         profile = self.get(node)
@@ -205,34 +179,6 @@ class PlanNode:
             return self.rows(db, env, stats)
         return profiler.wrap(self, self.rows(db, env, stats))
 
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        """Yield row environments in lists of up to ``batch_size``.
-
-        The base implementation chunks :meth:`rows`; operators with a
-        genuinely vectorized inner loop override this to build batches
-        without a per-row generator hop.
-        """
-        batch = []
-        for row_env in self.rows(db, env, stats):
-            batch.append(row_env)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
-    def iter_batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        """Open this node's batch stream (profiled like
-        :meth:`iter_rows`).  Parents on the vectorized path iterate
-        children through this so per-node batch/row counts are
-        collected."""
-        profiler = getattr(stats, "profiler", None)
-        if profiler is None:
-            return self.batches(db, env, stats, batch_size)
-        return profiler.wrap_batches(
-            self, self.batches(db, env, stats, batch_size)
-        )
-
     def children(self):
         return ()
 
@@ -258,22 +204,6 @@ class Scan(PlanNode):
             merged = dict(env)
             merged[self.alias] = dict(zip(names, row))
             yield merged
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        table = db.table(self.table_name)
-        names = table.schema.column_names()
-        alias = self.alias
-        batch = []
-        for _, row in table.scan():
-            stats.rows_scanned += 1
-            merged = dict(env)
-            merged[alias] = dict(zip(names, row))
-            batch.append(merged)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
 
 
 class IndexScan(PlanNode):
@@ -301,25 +231,6 @@ class IndexScan(PlanNode):
             merged[self.alias] = dict(zip(names, row))
             yield merged
 
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        table = db.table(self.table_name)
-        index = db.index(self.index_name)
-        key = self.key_expr.evaluate(env, db, stats)
-        key = table.schema.column(index.column_name).coerce(key)
-        names = table.schema.column_names()
-        alias = self.alias
-        batch = []
-        for row_id in index.lookup_op(self.op, key, stats=stats):
-            stats.rows_scanned += 1
-            merged = dict(env)
-            merged[alias] = dict(zip(names, table.fetch(row_id)))
-            batch.append(merged)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
 
 class Filter(PlanNode):
     """Row filter over a child plan."""
@@ -335,20 +246,6 @@ class Filter(PlanNode):
         for row_env in self.child.iter_rows(db, env, stats):
             if bool(self.predicate.evaluate(row_env, db, stats)):
                 yield row_env
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        predicate = self.predicate
-        batch = []
-        for child_batch in self.child.iter_batches(db, env, stats,
-                                                   batch_size):
-            for row_env in child_batch:
-                if bool(predicate.evaluate(row_env, db, stats)):
-                    batch.append(row_env)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
 
 
 class NestedLoopJoin(PlanNode):
@@ -369,24 +266,6 @@ class NestedLoopJoin(PlanNode):
                     self.condition.evaluate(joined, db, stats)
                 ):
                     yield joined
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        condition = self.condition
-        batch = []
-        for left_batch in self.left.iter_batches(db, env, stats, batch_size):
-            for left_env in left_batch:
-                # right side stays row-driven: it is re-opened per left
-                # row (correlated), so there is no inner batch to reuse
-                for joined in self.right.iter_rows(db, left_env, stats):
-                    if condition is None or bool(
-                        condition.evaluate(joined, db, stats)
-                    ):
-                        batch.append(joined)
-                        if len(batch) >= batch_size:
-                            yield batch
-                            batch = []
-        if batch:
-            yield batch
 
 
 class StructuralScan(PlanNode):
@@ -410,16 +289,6 @@ class StructuralScan(PlanNode):
             merged = dict(env)
             merged[self.alias] = dict(zip(names, table.fetch(row_id)))
             yield merged
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        batch = []
-        for row_env in self.rows(db, env, stats):
-            batch.append(row_env)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
 
 
 class StructuralJoin(PlanNode):
@@ -450,7 +319,7 @@ class StructuralJoin(PlanNode):
     def children(self):
         return (self.descendant, self.ancestor)
 
-    def _pairs(self, db, env, stats):
+    def rows(self, db, env, stats):
         doc_col = self.doc_column
         start_col = self.start_column
         end_col = self.end_column
@@ -490,19 +359,6 @@ class StructuralJoin(PlanNode):
                 close()
             global_metrics().counter("structural.index.join_rows").inc(
                 emitted)
-
-    def rows(self, db, env, stats):
-        return self._pairs(db, env, stats)
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        batch = []
-        for row_env in self._pairs(db, env, stats):
-            batch.append(row_env)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
 
 
 class HashJoin(PlanNode):
@@ -564,19 +420,6 @@ class HashJoin(PlanNode):
         for left_env in self.left.iter_rows(db, env, stats):
             for joined in self._probe(db, env, stats, table, left_env):
                 yield joined
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        table = self._build(db, env, stats)
-        batch = []
-        for left_batch in self.left.iter_batches(db, env, stats, batch_size):
-            for left_env in left_batch:
-                for joined in self._probe(db, env, stats, table, left_env):
-                    batch.append(joined)
-                    if len(batch) >= batch_size:
-                        yield batch
-                        batch = []
-        if batch:
-            yield batch
 
 
 class HashLeftJoin(PlanNode):
@@ -650,21 +493,6 @@ class HashLeftJoin(PlanNode):
                                        left_env):
                 yield joined
 
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        table = self._build(db, env, stats)
-        miss_cell = [None]
-        batch = []
-        for left_batch in self.left.iter_batches(db, env, stats, batch_size):
-            for left_env in left_batch:
-                for joined in self._joined(db, env, stats, table, miss_cell,
-                                           left_env):
-                    batch.append(joined)
-                    if len(batch) >= batch_size:
-                        yield batch
-                        batch = []
-        if batch:
-            yield batch
-
 
 def _hash_key(value):
     """Canonical equi-join hash key, matching ``BinOp('=')`` semantics:
@@ -692,12 +520,6 @@ class Sort(PlanNode):
     def rows(self, db, env, stats):
         for _, row_env in self._decorated(db, env, stats):
             yield row_env
-
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        decorated = self._decorated(db, env, stats)
-        for start in range(0, len(decorated), batch_size):
-            yield [row_env
-                   for _, row_env in decorated[start:start + batch_size]]
 
     def _decorated(self, db, env, stats):
         """Sorted ``(key_row, row_env)`` pairs.  This node is the sole
@@ -847,11 +669,6 @@ class TopN(PlanNode):
         for row_env in self._top_rows(db, env, stats):
             yield row_env
 
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        top = self._top_rows(db, env, stats)
-        for start in range(0, len(top), batch_size):
-            yield top[start:start + batch_size]
-
 
 class Limit(PlanNode):
     def __init__(self, child, count):
@@ -871,17 +688,6 @@ class Limit(PlanNode):
             if remaining <= 0:
                 return
 
-    def batches(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        remaining = self.count
-        if remaining <= 0:
-            return
-        for batch in self.child.iter_batches(db, env, stats, batch_size):
-            if len(batch) >= remaining:
-                yield batch[:remaining]
-                return
-            remaining -= len(batch)
-            yield batch
-
 
 class Query:
     """A plan plus output expressions; the unit the database executes."""
@@ -893,89 +699,34 @@ class Query:
     def is_aggregate(self):
         return any(find_aggregates(expr) for _, expr in self.outputs)
 
-    def execute(self, db, env=None, stats=None, batch_size=None):
+    def execute(self, db, env=None, stats=None):
         """Run the query; returns (rows, stats).  Each row is a tuple of
-        output values in declaration order.  With ``batch_size`` the plan
-        runs on the vectorized path (``iter_batches``) instead of the
-        row-at-a-time pull loop."""
+        output values in declaration order."""
         env = env or {}
         stats = stats or ExecutionStats()
         start = time.perf_counter()
-        if batch_size:
-            rows = []
-            for batch in self.execute_batches(db, env=env, stats=stats,
-                                              batch_size=batch_size,
-                                              _timed=False):
-                rows.extend(batch)
-        else:
-            rows = list(self._iterate(db, env, stats))
+        rows = list(self._iterate(db, env, stats))
         stats.elapsed_seconds += time.perf_counter() - start
         stats.output_rows += len(rows)
         return rows, stats
 
-    def execute_batches(self, db, env=None, stats=None,
-                        batch_size=DEFAULT_BATCH_SIZE, _timed=True):
-        """Yield lists of output-row tuples, at most ``batch_size`` each.
-
-        The whole operator tree runs batched: every plan node hands its
-        parent a list of row environments instead of one row per
-        ``next()``.  ``stats.batches`` counts the top-level batches.
-        """
-        env = env or {}
-        stats = stats or ExecutionStats()
-        start = time.perf_counter() if _timed else None
-        if self.is_aggregate():
-            final_env = self._accumulate(db, env, stats, batch_size)
-            out = [tuple(
-                expr.evaluate(final_env, db, stats)
-                for _, expr in self.outputs
-            )]
-            stats.batches += 1
-            if _timed:
-                stats.elapsed_seconds += time.perf_counter() - start
-                stats.output_rows += 1
-            yield out
-            return
-        outputs = self.outputs
-        for batch in self.plan.iter_batches(db, env, stats, batch_size):
-            out = [
-                tuple(expr.evaluate(row_env, db, stats)
-                      for _, expr in outputs)
-                for row_env in batch
-            ]
-            stats.batches += 1
-            if _timed:
-                stats.output_rows += len(out)
-            yield out
-        if _timed:
-            stats.elapsed_seconds += time.perf_counter() - start
-
-    def _accumulate(self, db, env, stats, batch_size=DEFAULT_BATCH_SIZE):
-        """Drain the plan into aggregate states (vectorized); returns the
-        final environment carrying ``AGG_STATE``."""
+    def _accumulate(self, db, env, stats):
+        """Drain the plan into aggregate states; returns the final
+        environment carrying ``AGG_STATE``."""
         aggregates = []
         for _, expr in self.outputs:
             aggregates.extend(find_aggregates(expr))
         states = {id(agg): agg.new_state() for agg in aggregates}
-        for batch in self.plan.iter_batches(db, env, stats, batch_size):
-            for row_env in batch:
-                for agg in aggregates:
-                    agg.accumulate(states[id(agg)], row_env, db, stats)
+        for row_env in self.plan.iter_rows(db, env, stats):
+            for agg in aggregates:
+                agg.accumulate(states[id(agg)], row_env, db, stats)
         final_env = dict(env)
         final_env[AGG_STATE] = states
         return final_env
 
     def _iterate(self, db, env, stats):
         if self.is_aggregate():
-            aggregates = []
-            for _, expr in self.outputs:
-                aggregates.extend(find_aggregates(expr))
-            states = {id(agg): agg.new_state() for agg in aggregates}
-            for row_env in self.plan.iter_rows(db, env, stats):
-                for agg in aggregates:
-                    agg.accumulate(states[id(agg)], row_env, db, stats)
-            final_env = dict(env)
-            final_env[AGG_STATE] = states
+            final_env = self._accumulate(db, env, stats)
             yield tuple(
                 expr.evaluate(final_env, db, stats) for _, expr in self.outputs
             )
@@ -1000,8 +751,7 @@ class Query:
 
     # -- streaming ------------------------------------------------------------
 
-    def stream_pieces(self, db, env=None, stats=None,
-                      batch_size=DEFAULT_BATCH_SIZE):
+    def stream_pieces(self, db, env=None, stats=None):
         """Yield serialized text pieces of the first output column of
         every row, in row order.
 
@@ -1012,7 +762,7 @@ class Query:
         pieces is byte-identical to executing the query and serializing
         ``row[0]`` of every row — exactly what ``core.transform``
         renders — while no piece ever spans more than one bounded
-        subtree.  Row flow underneath is batched (``iter_batches``).
+        subtree.
         """
         env = env or {}
         stats = stats or ExecutionStats()
@@ -1020,23 +770,19 @@ class Query:
             raise PlanError("cannot stream a query with no outputs")
         expr = self.outputs[0][1]
         if self.is_aggregate():
-            final_env = self._accumulate(db, env, stats, batch_size)
-            stats.batches += 1
+            final_env = self._accumulate(db, env, stats)
             stats.output_rows += 1
             for piece in stream_expr_pieces(expr, final_env, db, stats,
                                             escape=False):
                 yield piece
             return
-        for batch in self.plan.iter_batches(db, env, stats, batch_size):
-            stats.batches += 1
-            stats.output_rows += len(batch)
-            for row_env in batch:
-                for piece in stream_expr_pieces(expr, row_env, db, stats,
-                                                escape=False):
-                    yield piece
+        for row_env in self.plan.iter_rows(db, env, stats):
+            stats.output_rows += 1
+            for piece in stream_expr_pieces(expr, row_env, db, stats,
+                                            escape=False):
+                yield piece
 
-    def stream_scalar_pieces(self, db, env, stats, escape=True,
-                             batch_size=DEFAULT_BATCH_SIZE):
+    def stream_scalar_pieces(self, db, env, stats, escape=True):
         """Streaming twin of :meth:`execute_scalar`: yield serialized
         pieces of the single output value instead of materializing it.
         Aggregate outputs (the correlated XMLAgg subqueries the SQL merge
@@ -1050,7 +796,7 @@ class Query:
                 yield piece
             return
         stats.subquery_executions += 1
-        final_env = self._accumulate(db, env, stats, batch_size)
+        final_env = self._accumulate(db, env, stats)
         for piece in stream_expr_pieces(self.outputs[0][1], final_env, db,
                                         stats, escape=escape):
             yield piece
@@ -1362,9 +1108,6 @@ def _profile_note(plan, profile):
     node_profile = profile.get(plan)
     if node_profile is None:
         return "  (never executed)"
-    batches = ""
-    if node_profile.batches:
-        batches = " batches=%d" % node_profile.batches
     qnote = ""
     if getattr(plan, "estimated_rows", None) is not None:
         from repro.obs.feedback import format_qerror, q_error
@@ -1375,9 +1118,8 @@ def _profile_note(plan, profile):
         qnote = " q=%s" % format_qerror(
             q_error(plan.estimated_rows, node_profile.rows_out / opens)
         )
-    return "  (actual rows=%d%s opens=%d total=%.3fms self=%.3fms%s)" % (
+    return "  (actual rows=%d opens=%d total=%.3fms self=%.3fms%s)" % (
         node_profile.rows_out,
-        batches,
         node_profile.opens,
         node_profile.total_seconds * 1000.0,
         profile.self_seconds(plan) * 1000.0,
@@ -1388,10 +1130,7 @@ def _profile_note(plan, profile):
 def record_plan_metrics(query, profiler, metrics):
     """Export a profiled execution's per-operator counters into an obs
     :class:`~repro.obs.metrics.MetricsRegistry` —
-    ``plan.operator_rows{op=...}`` for every executed node and
-    ``plan.operator_batches{op=...}`` for nodes that ran vectorized, so
-    dashboards can see how much of the plan went through the batched
-    path."""
+    ``plan.operator_rows{op=...}`` for every executed node."""
     if profiler is None or metrics is None:
         return
     plan = query.plan if isinstance(query, Query) else query
@@ -1404,7 +1143,3 @@ def record_plan_metrics(query, profiler, metrics):
             continue
         op = type(node).__name__
         metrics.counter("plan.operator_rows", op=op).inc(profile.rows_out)
-        if profile.batches:
-            metrics.counter(
-                "plan.operator_batches", op=op
-            ).inc(profile.batches)

@@ -566,8 +566,8 @@ class TransformService:
         ).inc()
         stream = execute_compiled_stream(
             self.db, source, compiled, params=params, tracer=tracer,
-            metrics=self.metrics, batch_size=opts.batch_size,
-            chunk_chars=opts.chunk_chars, feedback=opts.feedback,
+            metrics=self.metrics, chunk_chars=opts.chunk_chars,
+            feedback=opts.feedback,
         )
         stream.trace_id = context.trace_id
         stream._chunks = self._drained(stream, stream._chunks, context,

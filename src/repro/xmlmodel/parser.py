@@ -279,10 +279,16 @@ class _Parser:
             self._expect("=")
             self._skip_space()
             value = self._parse_attribute_value()
+            declared = None
             if attr_prefix is None and attr_local == "xmlns":
-                namespaces[""] = value
+                declared = ""
             elif attr_prefix == "xmlns":
-                namespaces[attr_local] = value
+                declared = attr_local
+            if declared is not None:
+                if declared in namespaces:
+                    self._fail("duplicate attribute %r"
+                               % _lexical(attr_prefix, attr_local))
+                namespaces[declared] = value
             else:
                 raw_attributes.append((attr_prefix, attr_local, value))
 
@@ -294,6 +300,9 @@ class _Parser:
             self._fail("undeclared namespace prefix %r" % prefix)
         element = Element(QName(local, uri or None, prefix), namespaces=namespaces)
         element.source_line = start_line
+        # well-formedness: no two attributes share an expanded name, even
+        # when spelled with different prefixes bound to one URI
+        expanded_names = set()
         for attr_prefix, attr_local, value in raw_attributes:
             if attr_prefix is None:
                 attr_uri = None  # unprefixed attributes are in no namespace
@@ -301,6 +310,10 @@ class _Parser:
                 attr_uri = scope.get(attr_prefix)
                 if attr_uri is None:
                     self._fail("undeclared namespace prefix %r" % attr_prefix)
+            if (attr_uri, attr_local) in expanded_names:
+                self._fail("duplicate attribute %r"
+                           % _lexical(attr_prefix, attr_local))
+            expanded_names.add((attr_uri, attr_local))
             element.set_attribute(QName(attr_local, attr_uri, attr_prefix), value)
         parent.append(element)
 

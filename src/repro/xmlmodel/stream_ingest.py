@@ -29,7 +29,9 @@ tokens are consumed, and its high-water mark is exposed as
 from __future__ import annotations
 
 from repro.errors import XmlSyntaxError
-from repro.xmlmodel.parser import _PREDEFINED_ENTITIES, _NAME_START, _NAME_CHARS
+from repro.xmlmodel.parser import (
+    _NAME_CHARS, _NAME_START, _PREDEFINED_ENTITIES, _lexical,
+)
 
 DEFAULT_CHUNK_SIZE = 65536
 
@@ -335,6 +337,7 @@ class StreamParser:
             name = prefix_or_name
             prefix_or_name = None
         attributes = []
+        seen = set()
         while True:
             self._skip_space()
             if self._starts_with("/>"):
@@ -359,6 +362,10 @@ class StreamParser:
             self._expect("=")
             self._skip_space()
             value = self._parse_attribute_value()
+            if (attr_prefix, attr_name) in seen:
+                raise XmlSyntaxError("duplicate attribute %r"
+                                     % _lexical(attr_prefix, attr_name))
+            seen.add((attr_prefix, attr_name))
             if attr_prefix is None and attr_name == "xmlns":
                 continue
             if attr_prefix == "xmlns":

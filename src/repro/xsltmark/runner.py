@@ -27,7 +27,7 @@ from repro.schema import schema_from_dtd
 from repro.xslt.stylesheet import compile_stylesheet
 from repro.core.partial_eval import partially_evaluate
 from repro.core.sql_rewrite import SqlRewriter
-from repro.core.transform import xml_transform
+from repro.api import Engine, Strategy, TransformOptions
 from repro.core.xquery_gen import generate_xquery
 
 CLASS_INLINE = "inline"
@@ -157,12 +157,14 @@ def run_case(case, size, repeat=1):
 
 
 def _timed(prepared, rewrite, repeat):
+    strategy = Strategy.SQL if rewrite else Strategy.FUNCTIONAL
+    options = TransformOptions(strategy=strategy)
+    engine = Engine(prepared.db)
     result = None
     start = time.perf_counter()
     for _ in range(repeat):
-        result = xml_transform(
-            prepared.db, prepared.storage, prepared.stylesheet,
-            rewrite=rewrite,
+        result = engine.transform(
+            prepared.storage, prepared.stylesheet, options=options,
         )
     elapsed = (time.perf_counter() - start) / repeat
     return elapsed, result

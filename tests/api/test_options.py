@@ -36,9 +36,9 @@ class TestCoerce:
         assert TransformOptions.coerce(opts) is opts
 
     def test_dict_becomes_kwargs(self):
-        opts = TransformOptions.coerce({"rewrite": False, "batch_size": 64})
+        opts = TransformOptions.coerce({"rewrite": False, "chunk_chars": 64})
         assert opts.rewrite is False
-        assert opts.batch_size == 64
+        assert opts.chunk_chars == 64
 
     def test_rewrite_options_wrapped_with_warning(self):
         _reset_warned_sites()
@@ -85,7 +85,7 @@ class TestCacheKey:
     def test_runtime_fields_do_not_fragment(self):
         base = TransformOptions()
         assert base.cache_key() == TransformOptions(
-            deadline=2.0, batch_size=16, chunk_chars=128, profile_plan=False
+            deadline=2.0, chunk_chars=128, profile_plan=False
         ).cache_key()
 
     def test_compile_fields_do_fragment(self):

@@ -92,7 +92,6 @@ class TestOptionsSurface:
         assert opts.inline is None
         assert opts.explain is False
         assert opts.deadline is None
-        assert opts.batch_size is None
         assert opts.chunk_chars == 8192
         assert opts.profile_plan is True
         assert opts.rewrite_options is None
@@ -105,9 +104,9 @@ class TestOptionsSurface:
         # positional construction is allowed; the order is part of the API
         names = [f for f in TransformOptions.__dataclass_fields__]
         assert names == ["rewrite", "inline", "explain", "deadline",
-                         "batch_size", "chunk_chars", "profile_plan",
-                         "rewrite_options", "optimizer_level", "feedback",
-                         "strategy", "decorrelate"]
+                         "chunk_chars", "profile_plan", "rewrite_options",
+                         "optimizer_level", "feedback", "strategy",
+                         "decorrelate"]
 
     def test_choice_fields_validate_at_construction(self):
         with pytest.raises(ValueError, match="invalid optimizer_level"):

@@ -1,28 +1,24 @@
-"""Tests for the vectorized executor path (batches/iter_batches) and the
-incremental SQL/XML streaming emitter."""
+"""Tests for the row protocol's work counters and the incremental SQL/XML
+streaming emitter."""
 
 import pytest
 
 from repro.errors import DatabaseError
 from repro.rdb import (
-    Aggregate,
     Database,
     Filter,
     HashJoin,
     IndexScan,
     Limit,
-    NestedLoopJoin,
     Query,
     Scan,
     Sort,
     TopN,
     INT,
-    TEXT,
 )
 from repro.rdb.expressions import ScalarSubquery, col, const, eq, gt
-from repro.rdb.plan import DEFAULT_BATCH_SIZE, ExecutionStats, PlanProfiler
+from repro.rdb.plan import ExecutionStats, PlanProfiler
 from repro.rdb.sqlxml import (
-    AggCall,
     XMLAgg,
     XMLComment,
     XMLConcat,
@@ -34,262 +30,86 @@ from repro.rdb.sqlxml import (
 )
 
 
-def batched(db, query, batch_size, **kwargs):
-    stats = ExecutionStats()
-    rows, stats = query.execute(db, stats=stats, batch_size=batch_size,
-                                **kwargs)
-    return rows, stats
-
-
-class TestBatchedExecutionEquivalence:
-    """batch_size must never change results, only the pull granularity."""
-
-    @pytest.mark.parametrize("batch_size", [1, 2, 3, DEFAULT_BATCH_SIZE])
-    def test_scan(self, db, batch_size):
-        query = Query(Scan("emp"), [(None, col("ename"))])
-        plain, _ = query.execute(db)
-        rows, stats = batched(db, query, batch_size)
-        assert rows == plain
-        assert stats.batches >= 1
-
-    @pytest.mark.parametrize("batch_size", [1, 2, DEFAULT_BATCH_SIZE])
-    def test_filter(self, db, batch_size):
-        query = Query(
-            Filter(Scan("emp"), gt(col("sal"), const(2000))),
-            [(None, col("ename"))],
-        )
-        plain, _ = query.execute(db)
-        rows, _ = batched(db, query, batch_size)
-        assert rows == plain == [("CLARK",), ("SMITH",)]
-
-    @pytest.mark.parametrize("batch_size", [1, 2, DEFAULT_BATCH_SIZE])
-    def test_join(self, db, batch_size):
-        query = Query(
-            NestedLoopJoin(
-                Scan("dept", "d"), Scan("emp", "e"),
-                eq(col("deptno", "d"), col("deptno", "e")),
-            ),
-            [(None, col("dname", "d")), (None, col("ename", "e"))],
-        )
-        plain, _ = query.execute(db)
-        rows, _ = batched(db, query, batch_size)
-        assert rows == plain
-
-    @pytest.mark.parametrize("batch_size", [1, 2, DEFAULT_BATCH_SIZE])
-    def test_sort(self, db, batch_size):
-        query = Query(
-            Sort(Scan("emp"), [(col("sal"), True)]),
-            [(None, col("ename"))],
-        )
-        plain, _ = query.execute(db)
-        rows, _ = batched(db, query, batch_size)
-        assert rows == plain == [("SMITH",), ("CLARK",), ("MILLER",)]
-
-    @pytest.mark.parametrize("batch_size", [1, 2, DEFAULT_BATCH_SIZE])
-    def test_limit(self, db, batch_size):
-        query = Query(Limit(Scan("emp"), 2), [(None, col("ename"))])
-        plain, _ = query.execute(db)
-        rows, _ = batched(db, query, batch_size)
-        assert rows == plain
-        assert len(rows) == 2
-
-    def test_limit_stops_pulling(self, db):
-        query = Query(Limit(Scan("emp"), 1), [(None, col("ename"))])
-        stats = ExecutionStats()
-        rows, stats = query.execute(db, stats=stats, batch_size=1)
-        assert len(rows) == 1
-        # batch_size=1 must not scan past the limit
-        assert stats.rows_scanned <= 2
-
-    @pytest.mark.parametrize("batch_size", [1, 2, DEFAULT_BATCH_SIZE])
-    def test_aggregate_query(self, db, batch_size):
-        agg = XMLAgg(XMLElement("e", col("ename")))
-        query = Query(Scan("emp"), [(None, agg)])
-        plain, _ = query.execute(db)
-        rows, stats = batched(db, query, batch_size)
-        assert len(rows) == len(plain) == 1
-        from repro.xmlmodel import serialize
-
-        assert [serialize(node) for node in rows[0][0]] == [
-            serialize(node) for node in plain[0][0]
-        ]
+class TestRowCounters:
+    """Work counters of the row protocol, per physical operator."""
 
     def test_output_rows_counted_once(self, db):
         query = Query(Scan("emp"), [(None, col("ename"))])
-        _, stats = batched(db, query, 2)
+        _, stats = query.execute(db)
         assert stats.output_rows == 3
 
-
-def _audit_cases():
-    """One representative query per physical operator."""
-    return [
-        ("scan", Query(Scan("emp"), [(None, col("ename"))])),
-        ("filter", Query(
-            Filter(Scan("emp"), gt(col("sal"), const(2000))),
-            [(None, col("ename"))],
-        )),
-        ("index-scan", Query(
-            IndexScan("emp", "idx_emp_sal", ">", const(2000)),
-            [(None, col("ename"))],
-        )),
-        ("nested-loop", Query(
-            NestedLoopJoin(
-                Scan("dept", "d"), Scan("emp", "e"),
-                eq(col("deptno", "d"), col("deptno", "e")),
-            ),
-            [(None, col("dname", "d")), (None, col("ename", "e"))],
-        )),
-        ("hash-join", Query(
+    def test_operator_counters(self, db):
+        db.create_index("emp", "sal")
+        _, stats = Query(
             HashJoin(
                 Scan("dept", "d"), Scan("emp", "e"),
                 col("deptno", "d"), col("deptno", "e"),
             ),
             [(None, col("dname", "d")), (None, col("ename", "e"))],
-        )),
-        ("sort", Query(
-            Sort(Scan("emp"), [(col("sal"), True)]),
-            [(None, col("ename"))],
-        )),
-        ("top-n", Query(
+        ).execute(db)
+        assert stats.hash_build_rows == 3
+        assert stats.hash_probes == 2
+        _, stats = Query(
             TopN(Scan("emp"), [(col("sal"), True)], 2),
             [(None, col("ename"))],
-        )),
-        ("limit", Query(Limit(Scan("emp"), 2), [(None, col("ename"))])),
-        ("aggregate", Query(
-            Aggregate(
-                Scan("emp"),
-                group_by=[("deptno", col("deptno"))],
-                outputs=[("total", AggCall("SUM", col("sal")))],
-            ),
-            [(None, col("deptno", "agg")), (None, col("total", "agg"))],
-        )),
-    ]
+        ).execute(db)
+        assert stats.topn_heap_rows == 3
+        _, stats = Query(
+            IndexScan("emp", "idx_emp_sal", ">", const(2000)),
+            [(None, col("ename"))],
+        ).execute(db)
+        assert stats.index_probes == 1
 
-
-class TestBatchesParityAudit:
-    """Regression audit: the batched path must report the exact same work
-    counters as the row-at-a-time path for every physical operator —
-    identical rows AND identical rows_scanned / index_probes /
-    index_entries / hash / top-n counters.  Only ``batches`` (zero on the
-    row path) and wall-clock time may differ."""
-
-    IGNORED = {"batches", "elapsed_seconds"}
-
-    @pytest.mark.parametrize(
-        "name,query", _audit_cases(), ids=[c[0] for c in _audit_cases()]
-    )
-    @pytest.mark.parametrize("batch_size", [1, 2, DEFAULT_BATCH_SIZE])
-    def test_counters_match_row_path(self, db, name, query, batch_size):
-        db.create_index("emp", "sal")
-        row_stats = ExecutionStats()
-        row_rows, row_stats = query.execute(db, stats=row_stats)
-        batch_rows, batch_stats = batched(db, query, batch_size)
-        assert batch_rows == row_rows
-        for field in ExecutionStats._FIELDS:
-            if field in self.IGNORED:
-                continue
-            batch_value = getattr(batch_stats, field)
-            row_value = getattr(row_stats, field)
-            if name == "limit" and field == "rows_scanned":
-                # a Limit can only stop pulling on batch boundaries, so the
-                # batched path may overscan by up to one batch
-                assert row_value <= batch_value < row_value + batch_size
-                continue
-            assert batch_value == row_value, \
-                "%s diverged on %r at batch_size=%d" % (field, name,
-                                                        batch_size)
-
-    def test_audit_covers_the_new_counters(self, db):
-        db.create_index("emp", "sal")
-        for name, query in _audit_cases():
-            _, stats = batched(db, query, 2)
-            if name == "hash-join":
-                assert stats.hash_build_rows == 3
-                assert stats.hash_probes == 2
-            if name == "top-n":
-                assert stats.topn_heap_rows == 3
-            if name == "index-scan":
-                assert stats.index_probes == 1
-
-
-class TestBatchProfile:
-    def test_batches_counted_per_node(self, db):
+    def test_profile_counts_rows_per_node(self, db):
         query = Query(
             Filter(Scan("emp"), gt(col("sal"), const(0))),
             [(None, col("ename"))],
         )
         stats = ExecutionStats()
         profiler = stats.profiler = PlanProfiler()
-        rows, _ = query.execute(db, stats=stats, batch_size=2)
+        rows, _ = query.execute(db, stats=stats)
         assert len(rows) == 3
-        filter_node = query.plan
-        scan_node = filter_node.child
-        # 3 rows in batches of 2 -> 2 batches at every node
-        assert profiler.get(filter_node).batches == 2
-        assert profiler.get(filter_node).rows_out == 3
-        assert profiler.get(scan_node).batches == 2
-        assert profiler.get(scan_node).rows_out == 3
-
-    def test_row_path_leaves_batches_zero(self, db):
-        query = Query(Scan("emp"), [(None, col("ename"))])
-        stats = ExecutionStats()
-        profiler = stats.profiler = PlanProfiler()
-        query.execute(db, stats=stats)
-        assert profiler.get(query.plan).batches == 0
         assert profiler.get(query.plan).rows_out == 3
+        assert profiler.get(query.plan.child).rows_out == 3
+        assert profiler.get(query.plan).opens == 1
 
-
-class TestBatchFeedbackParity:
-    """Q-error feedback judges batched runs exactly like row runs.
-
-    The feedback loop pairs ``estimated_rows`` with the profiler's
-    ``rows_out``; if the vectorized path reported different actuals the
-    same plan would earn a different Q-error depending on pull
-    granularity and the controller would mis-trigger.
-    """
-
-    @staticmethod
-    def _feedback(db, query, batch_size=None):
+    def test_limit_feedback_actuals(self, db):
         from repro.obs.feedback import compute_plan_feedback
 
-        optimized = db.optimize(query)
+        db.analyze()
+        query = db.optimize(
+            Query(Limit(Scan("emp"), 2), [(None, col("ename"))]))
         stats = ExecutionStats()
         stats.profiler = PlanProfiler()
-        kwargs = {"batch_size": batch_size} if batch_size else {}
-        optimized.execute(db, stats=stats, **kwargs)
-        return compute_plan_feedback(optimized, stats.profiler)
+        query.execute(db, stats=stats)
+        feedback = compute_plan_feedback(query, stats.profiler)
+        limit_node = next(n for n in feedback.nodes if n.op == "Limit")
+        assert limit_node.actual_rows == 2
+
+
+class TestLimitLaziness:
+    """A Limit stops its child after ``count`` rows on every execution
+    path, materialised and streamed alike."""
 
     @staticmethod
-    def _shape(feedback):
-        return sorted(
-            (node.op, node.table, node.estimated_rows, node.actual_rows,
-             node.q_error)
-            for node in feedback.nodes
-        )
+    def make_query():
+        db = Database()
+        db.create_table("t", [("n", INT)])
+        db.insert("t", *[(n,) for n in range(1000)])
+        return db, Query(Limit(Scan("t"), 1),
+                         [(None, XMLElement("n", col("n")))])
 
-    @pytest.mark.parametrize(
-        "name,query", _audit_cases(), ids=[c[0] for c in _audit_cases()]
-    )
-    @pytest.mark.parametrize("batch_size", [1, 2, DEFAULT_BATCH_SIZE])
-    def test_actuals_match_row_path(self, db, name, query, batch_size):
-        if name == "limit":
-            # a Limit's source may legally overscan by up to one batch,
-            # so its per-node actuals are not comparable — covered by
-            # test_limit_feedback_stays_bounded below
-            pytest.skip("limit overscan is batch-size dependent")
-        db.create_index("emp", "sal")
-        db.analyze()
-        row = self._feedback(db, query)
-        batch = self._feedback(db, query, batch_size=batch_size)
-        assert self._shape(batch) == self._shape(row)
-        assert batch.max_q_error == row.max_q_error
+    def test_execute_scans_one_row(self):
+        db, query = self.make_query()
+        rows, stats = query.execute(db)
+        assert len(rows) == 1
+        assert stats.rows_scanned == 1
 
-    def test_limit_feedback_stays_bounded(self, db):
-        db.analyze()
-        query = Query(Limit(Scan("emp"), 2), [(None, col("ename"))])
-        batch = self._feedback(db, query, batch_size=2)
-        limit_node = next(n for n in batch.nodes if n.op == "Limit")
-        assert limit_node.actual_rows == 2
+    def test_stream_pieces_scans_one_row(self):
+        db, query = self.make_query()
+        stats = ExecutionStats()
+        assert "".join(query.stream_pieces(db, stats=stats)) == "<n>0</n>"
+        assert stats.rows_scanned == 1
 
 
 class TestStreamPieces:
@@ -309,12 +129,11 @@ class TestStreamPieces:
         streamed = "".join(query.stream_pieces(db))
         assert streamed == expected
 
-    def test_stream_counts_rows_and_batches(self, db):
+    def test_stream_counts_rows(self, db):
         query = self.make_xml_query()
         stats = ExecutionStats()
-        list(query.stream_pieces(db, stats=stats, batch_size=2))
+        list(query.stream_pieces(db, stats=stats))
         assert stats.output_rows == 3
-        assert stats.batches == 2
 
     def test_no_outputs_rejected(self, db):
         from repro.errors import PlanError

@@ -122,6 +122,14 @@ class TestTreeStorageStreaming:
         assert storage.fingerprint() == dom_storage.fingerprint()
         assert len(db.table("t_nodes")) == len(dom_db.table("t_nodes"))
 
+    def test_duplicate_attribute_rejected(self):
+        import pytest
+        from repro.errors import XmlSyntaxError
+        storage = TreeStorage(Database(), "t")
+        with pytest.raises(XmlSyntaxError, match="duplicate attribute"):
+            storage.load_stream("<tree><node a='1' a='2'/></tree>",
+                                chunk_size=7)
+
 
 class TestObjectRelationalStreaming:
     def build(self, stream, docs=(DEPT_DOC,)):

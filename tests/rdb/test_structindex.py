@@ -91,18 +91,6 @@ class TestStructuralJoinPlanning:
         assert walk_rows == index_rows
         assert len(index_rows) > 0
 
-    def test_batched_execution_matches(self):
-        db, storage = make_storage()
-        query = storage.descendant_query("node", "label")
-        optimized = db.optimize(query, level="cost")
-        whole, _ = optimized.execute(db)
-        batched = []
-        stats = ExecutionStats()
-        for batch in optimized.execute_batches(db, stats=stats,
-                                               batch_size=7):
-            batched.extend(batch)
-        assert batched == whole
-
     def test_doc_id_restriction(self):
         db, storage = make_storage()
         query = storage.descendant_query("node", "label", doc_id=2)

@@ -142,6 +142,17 @@ class TestNamespaces:
         c = document.document_element.find("b").children[0]
         assert c.name.uri == "urn:inner"
 
+    def test_duplicate_attribute_rejected(self):
+        # a repeat is judged on the expanded name, after resolution
+        for source in ("<a x='1' x='2'/>",
+                       "<a xmlns:p='urn:u' xmlns:q='urn:u' p:x='1' q:x='2'/>",
+                       "<a xmlns:p='urn:u' xmlns:p='urn:v'/>"):
+            with pytest.raises(XmlSyntaxError, match="duplicate attribute"):
+                parse_document(source)
+        distinct = parse_document(
+            "<a xmlns:p='urn:u' xmlns:q='urn:v' p:x='1' q:x='2' x='3'/>")
+        assert len(distinct.document_element.attributes) == 3
+
     def test_xml_prefix_predeclared(self):
         document = parse_document('<a xml:lang="en"/>')
         attribute = document.document_element.attributes[0]

@@ -28,20 +28,6 @@ def test_stream_matches_materialized(case):
         assert stream.stats.docs_materialized == 0, case.name
 
 
-@pytest.mark.parametrize("batch_size", [1, 7, 256])
-def test_batch_size_does_not_change_output(batch_size):
-    case = get_case("total")
-    prepared = prepare_case(case, 50)
-    engine = Engine(prepared.db)
-    reference = engine.transform_stream(prepared.storage,
-                                        prepared.stylesheet).text()
-    stream = engine.transform_stream(
-        prepared.storage, prepared.stylesheet,
-        options=TransformOptions(batch_size=batch_size),
-    )
-    assert stream.text() == reference
-
-
 class TestStreamingBounds:
     def test_large_case_streams_without_materializing(self):
         """ISSUE acceptance: on a large SQL-strategy case the stream
